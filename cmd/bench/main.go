@@ -74,10 +74,9 @@ import (
 	"multinet/internal/tcp"
 )
 
-// Result is one benchmark measurement. EventsPerPacket and ElidedSegs
-// are reported by the netem-driven transport benchmarks only: kernel
-// events processed per packet carried (the figure fluid-advance mode
-// drives below 1), and packets carried analytically per op.
+// Result is one benchmark measurement. EventsPerPacket is reported by
+// the netem-driven transport benchmarks only: kernel events processed
+// per packet carried.
 type Result struct {
 	Name     string  `json:"name"`
 	Runs     int     `json:"runs"`
@@ -86,7 +85,6 @@ type Result struct {
 	AllocsOp int64   `json:"allocs_per_op"`
 
 	EventsPerPacket float64 `json:"events_per_packet,omitempty"`
-	ElidedSegs      int64   `json:"elided_segs,omitempty"`
 }
 
 // Report is the serialised benchmark trajectory artifact.
@@ -107,14 +105,11 @@ type bench struct {
 func nopEvent(any) {}
 
 // netemMetrics accumulates simulator-level counters across a
-// benchmark's iterations: kernel events processed, packets carried
-// (accepted onto any link, analytically or on the wire), and packets
-// elided by fluid-advance mode.
+// benchmark's iterations: kernel events processed and packets carried
+// (accepted onto any link).
 type netemMetrics struct {
 	events  uint64
 	packets int64
-	elided  int64
-	ops     int64
 }
 
 // curMetrics, when non-nil, receives the counters of every transport
@@ -130,9 +125,7 @@ func (m *netemMetrics) collect(sim *simnet.Sim, links ...*netem.FixedLink) {
 	for _, l := range links {
 		st := l.Stats()
 		m.packets += int64(st.Sent)
-		m.elided += int64(st.Elided)
 	}
-	m.ops++
 }
 
 // schedFireChurn measures the schedule+fire cycle with 64 event chains
@@ -203,10 +196,8 @@ func schedDeepPending(b *testing.B) {
 }
 
 // tcpDownload transfers size bytes server→client over one fixed-rate
-// duplex interface — the plain-TCP kernel hot path. With fluid set the
-// stacks opt into fluid-advance mode and the steady phase of the
-// transfer is carried analytically.
-func tcpDownload(b *testing.B, size int, loss float64, fluid bool) {
+// duplex interface — the plain-TCP kernel hot path.
+func tcpDownload(b *testing.B, size int, loss float64) {
 	for i := 0; i < b.N; i++ {
 		sim := simnet.New(int64(i + 1))
 		cfg := func(stream string) netem.LinkConfig {
@@ -229,9 +220,6 @@ func tcpDownload(b *testing.B, size int, loss float64, fluid bool) {
 		server := tcp.NewStack(sim, tcp.ServerSide)
 		client.Bind(iface)
 		server.Bind(iface)
-		if fluid {
-			tcp.EnableFluid(client, server)
-		}
 		var done bool
 		server.Accept = func(c *tcp.Conn) {
 			c.SetCallbacks(tcp.Callbacks{OnEstablished: func(c *tcp.Conn) {
@@ -301,11 +289,9 @@ func kernelBenchmarks() []bench {
 		{"sched/fire-churn", schedFireChurn},
 		{"sched/cancel-churn", schedCancelChurn},
 		{"sched/deep-pending", schedDeepPending},
-		{"tcp/download-100KB", func(b *testing.B) { tcpDownload(b, 100<<10, 0, false) }},
-		{"tcp/download-100KB-fluid", func(b *testing.B) { tcpDownload(b, 100<<10, 0, true) }},
-		{"tcp/download-1MB", func(b *testing.B) { tcpDownload(b, 1<<20, 0, false) }},
-		{"tcp/download-1MB-fluid", func(b *testing.B) { tcpDownload(b, 1<<20, 0, true) }},
-		{"tcp/download-1MB-lossy", func(b *testing.B) { tcpDownload(b, 1<<20, 0.02, false) }},
+		{"tcp/download-100KB", func(b *testing.B) { tcpDownload(b, 100<<10, 0) }},
+		{"tcp/download-1MB", func(b *testing.B) { tcpDownload(b, 1<<20, 0) }},
+		{"tcp/download-1MB-lossy", func(b *testing.B) { tcpDownload(b, 1<<20, 0.02) }},
 		{"mptcp/download-1MB-decoupled", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Decoupled) }},
 		{"mptcp/download-1MB-coupled", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Coupled) }},
 		{"mptcp/download-10KB", func(b *testing.B) { mptcpDownload(b, 10<<10, mptcp.Decoupled) }},
@@ -340,18 +326,32 @@ func envMatches(base, cur Report) bool {
 }
 
 // compare checks cur against base, returning regression descriptions.
-// gateNs disables the ns/op comparison (used when the baseline comes
-// from different hardware, where a wall-clock floor is meaningless).
-func compare(base, cur []Result, maxSlow float64, gateNs bool) []string {
+// defined names every benchmark this binary knows, run or not: a
+// baseline entry outside it is an orphan (renamed or deleted), and a
+// run benchmark without a baseline entry is ungated — both fail, so
+// nothing leaves or enters the gate silently. gateNs disables the
+// ns/op comparison (used when the baseline comes from different
+// hardware, where a wall-clock floor is meaningless).
+func compare(base, cur []Result, defined []string, maxSlow float64, gateNs bool) []string {
 	baseBy := make(map[string]Result, len(base))
 	for _, r := range base {
 		baseBy[r.Name] = r
 	}
 	var bad []string
+	known := make(map[string]bool, len(defined))
+	for _, n := range defined {
+		known[n] = true
+	}
+	for _, b := range base {
+		if !known[b.Name] {
+			bad = append(bad, fmt.Sprintf("%s: baseline entry matches no benchmark (drop it from the baseline)", b.Name))
+		}
+	}
 	for _, r := range cur {
 		b, ok := baseBy[r.Name]
 		if !ok {
-			continue // new benchmark: no baseline yet
+			bad = append(bad, fmt.Sprintf("%s: no baseline entry (measure it and add it to the baseline)", r.Name))
+			continue
 		}
 		// Allocation counts gate at 0.25% of the baseline, rounded
 		// down: the transfer micro-benchmarks (≲1k allocs/op) gate
@@ -390,20 +390,14 @@ func writeDiff(path string, base, cur Report) error {
 		}
 		return fmt.Sprintf("%.2f", r.EventsPerPacket)
 	}
-	elided := func(r Result) string {
-		if r.EventsPerPacket == 0 {
-			return "-"
-		}
-		return fmt.Sprint(r.ElidedSegs)
-	}
-	fmt.Fprintf(&sb, "%-34s %14s %14s %8s %10s %10s %7s %7s %9s\n",
+	fmt.Fprintf(&sb, "%-34s %14s %14s %8s %10s %10s %7s %7s\n",
 		"benchmark", "base ns/op", "ns/op", "delta", "base a/op", "a/op",
-		"base e/p", "ev/pkt", "elided")
+		"base e/p", "ev/pkt")
 	for _, r := range cur.Results {
 		b, ok := baseBy[r.Name]
 		if !ok {
-			fmt.Fprintf(&sb, "%-34s %14s %14.0f %8s %10s %10d %7s %7s %9s  (new)\n",
-				r.Name, "-", r.NsPerOp, "-", "-", r.AllocsOp, "-", evpkt(r), elided(r))
+			fmt.Fprintf(&sb, "%-34s %14s %14.0f %8s %10s %10d %7s %7s  (new)\n",
+				r.Name, "-", r.NsPerOp, "-", "-", r.AllocsOp, "-", evpkt(r))
 			continue
 		}
 		delete(baseBy, r.Name)
@@ -411,9 +405,9 @@ func writeDiff(path string, base, cur Report) error {
 		if b.NsPerOp > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (r.NsPerOp/b.NsPerOp-1)*100)
 		}
-		fmt.Fprintf(&sb, "%-34s %14.0f %14.0f %8s %10s %10d %7s %7s %9s\n",
+		fmt.Fprintf(&sb, "%-34s %14.0f %14.0f %8s %10s %10d %7s %7s\n",
 			r.Name, b.NsPerOp, r.NsPerOp, delta, fmt.Sprint(b.AllocsOp), r.AllocsOp,
-			evpkt(b), evpkt(r), elided(r))
+			evpkt(b), evpkt(r))
 	}
 	// Baseline rows the run never produced (renamed, deleted, or
 	// filtered out by -only) must not vanish silently: a reader of the
@@ -477,8 +471,15 @@ func main() {
 	}
 
 	benches := append(kernelBenchmarks(), serveBenchmarks()...)
+	exps := experimentBenchmarks()
+	var defined []string
+	for _, set := range [][]bench{benches, exps} {
+		for _, bm := range set {
+			defined = append(defined, bm.name)
+		}
+	}
 	if !*skipExp {
-		benches = append(benches, experimentBenchmarks()...)
+		benches = append(benches, exps...)
 	}
 	if *only != "" {
 		want := map[string]bool{}
@@ -557,8 +558,7 @@ func main() {
 		extra := ""
 		if m := curMetrics; m.packets > 0 {
 			res.EventsPerPacket = float64(m.events) / float64(m.packets)
-			res.ElidedSegs = m.elided / m.ops
-			extra = fmt.Sprintf("  %.2f ev/pkt %d elided", res.EventsPerPacket, res.ElidedSegs)
+			extra = fmt.Sprintf("  %.2f ev/pkt", res.EventsPerPacket)
 		}
 		curMetrics = nil
 		rep.Results = append(rep.Results, res)
@@ -624,7 +624,7 @@ func main() {
 					"gating allocs/op only; run -rebase on this machine class to arm the ns/op gate\n",
 				*baseline, base.GoOS, base.GoArch, base.NumCPU, rep.GoOS, rep.GoArch, rep.NumCPU)
 		}
-		if bad := compare(base.Results, rep.Results, *maxSlow, gateNs); len(bad) > 0 {
+		if bad := compare(base.Results, rep.Results, defined, *maxSlow, gateNs); len(bad) > 0 {
 			fmt.Fprintln(os.Stderr, "benchmark regressions vs", *baseline+":")
 			for _, line := range bad {
 				fmt.Fprintln(os.Stderr, "  "+line)

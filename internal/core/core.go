@@ -2,14 +2,14 @@
 // substrates (netem links, phy radio models, tcp, mptcp) into a
 // Session on which callers run measured transfers — the programmatic
 // equivalent of the paper's modified Cell vs WiFi tool (Section 3.2) —
-// and provides the adaptive network Selector that the paper's
-// conclusion poses as future work ("how can we automatically decide
-// when to use single path TCP and when to use MPTCP?").
+// and maps the decisions of the adaptive network selector
+// (internal/selector) that the paper's conclusion poses as future work
+// ("how can we automatically decide when to use single path TCP and
+// when to use MPTCP?") onto transfer configurations.
 package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"multinet/internal/mptcp"
@@ -18,23 +18,6 @@ import (
 	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
-
-// fluidDefault opts newly created Sessions into hybrid fluid/packet
-// execution (see internal/tcp fluid-advance mode and DESIGN.md "Hybrid
-// fluid/packet execution"). Atomic because experiment sweeps create
-// Sessions from worker goroutines.
-var fluidDefault atomic.Bool
-
-// SetFluidDefault toggles fluid-advance mode for Sessions created from
-// now on and returns the previous setting. The default (off) simulates
-// every packet; with it on, provably steady TCP flows advance
-// analytically and dissolve back to packet mode around interesting
-// events. MPTCP transfers always run in packet mode — subflows carry
-// per-segment options, which makes them ineligible for sessions.
-func SetFluidDefault(on bool) bool { return fluidDefault.Swap(on) }
-
-// FluidDefault reports whether new Sessions use fluid-advance mode.
-func FluidDefault() bool { return fluidDefault.Load() }
 
 // TransportKind selects the transport for one transfer.
 type TransportKind int
@@ -68,9 +51,6 @@ type Config struct {
 	// Scheduler names the registered MPTCP data scheduler (empty:
 	// mptcp.SchedMinSRTT, the Linux default).
 	Scheduler string
-	// RoundRobin selects the ablation scheduler instead of min-SRTT
-	// (legacy flag; equivalent to Scheduler: mptcp.SchedRoundRobin).
-	RoundRobin bool
 	// SimultaneousJoin is the late-join ablation (all subflows start at
 	// dial time).
 	SimultaneousJoin bool
@@ -166,9 +146,6 @@ func NewSession(seed int64, cond phy.Condition) *Session {
 	s.mpServer.AcceptTCP = s.acceptTCP
 	s.mpServer.OnConn = s.acceptMPTCP
 	s.mpSpecs = make(map[string]tcpServerSpec)
-	if FluidDefault() {
-		tcp.EnableFluid(s.clientStack, s.serverStack)
-	}
 	return s
 }
 
@@ -258,9 +235,7 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 		// The server applies matching parameters to this connection
 		// (both endpoints must agree on coupling; the receive buffer
 		// bound binds at the data sender).
-		// Scheduler is wired to both ends; the legacy RoundRobin flag
-		// stays client-side only, preserving the historical ablation
-		// behaviour the output goldens pin.
+		// The scheduler is wired to both ends.
 		s.mpServer.SetConfig(mptcp.ServerConfig{
 			CC: cfg.CC, Mode: cfg.Mode, RecvBuf: cfg.RecvBuf, Scheduler: cfg.Scheduler,
 			WatchdogRTOs: cfg.WatchdogRTOs,
@@ -273,7 +248,6 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 			BackupIfaces:     cfg.BackupIfaces,
 			RecvBuf:          cfg.RecvBuf,
 			Scheduler:        cfg.Scheduler,
-			RoundRobin:       cfg.RoundRobin,
 			SimultaneousJoin: cfg.SimultaneousJoin,
 			WatchdogRTOs:     cfg.WatchdogRTOs,
 		}

@@ -6,6 +6,7 @@ import (
 
 	"multinet/internal/mptcp"
 	"multinet/internal/phy"
+	"multinet/internal/selector"
 )
 
 func cleanCond(wifiMbps, lteMbps float64) phy.Condition {
@@ -104,9 +105,17 @@ func TestProbeEstimates(t *testing.T) {
 	}
 }
 
+// wifiLTE builds the paper's classic two-path {wifi, lte} estimate.
+func wifiLTE(wifiMbps, lteMbps float64, wifiRTT, lteRTT time.Duration) selector.Estimate {
+	return selector.EstimateOf(
+		selector.PathEstimate{Name: "wifi", Mbps: wifiMbps, RTT: wifiRTT},
+		selector.PathEstimate{Name: "lte", Mbps: lteMbps, RTT: lteRTT},
+	)
+}
+
 func TestSelectorShortFlow(t *testing.T) {
-	sel := Selector{}
-	est := WiFiLTEEstimate(3, 9, 0, 0)
+	sel := selector.Selector{}
+	est := wifiLTE(3, 9, 0, 0)
 	cfg := ConfigFor(sel.Decide(est, 50_000))
 	if cfg.Transport != TCP || cfg.Iface != "lte" {
 		t.Fatalf("short flow choice = %+v, want LTE-TCP", cfg)
@@ -114,8 +123,8 @@ func TestSelectorShortFlow(t *testing.T) {
 }
 
 func TestSelectorLongFlowComparablePaths(t *testing.T) {
-	sel := Selector{}
-	est := WiFiLTEEstimate(6, 5, 0, 0)
+	sel := selector.Selector{}
+	est := wifiLTE(6, 5, 0, 0)
 	cfg := ConfigFor(sel.Decide(est, 5<<20))
 	if cfg.Transport != MPTCP || cfg.Primary != "wifi" || cfg.CC != mptcp.Decoupled {
 		t.Fatalf("long flow choice = %+v, want MPTCP wifi-primary decoupled", cfg)
@@ -123,8 +132,8 @@ func TestSelectorLongFlowComparablePaths(t *testing.T) {
 }
 
 func TestSelectorLongFlowDisparatePaths(t *testing.T) {
-	sel := Selector{}
-	est := WiFiLTEEstimate(1, 10, 0, 0)
+	sel := selector.Selector{}
+	est := wifiLTE(1, 10, 0, 0)
 	cfg := ConfigFor(sel.Decide(est, 5<<20))
 	if cfg.Transport != TCP || cfg.Iface != "lte" {
 		t.Fatalf("disparate-path choice = %+v, want LTE-TCP (Fig. 7a regime)", cfg)
@@ -142,7 +151,7 @@ func TestSelectorBeatsWorstStaticPolicy(t *testing.T) {
 	}
 	probe := NewSession(6, cond)
 	est := probe.Probe()
-	cfg := Choose(Selector{}, est, 1<<20)
+	cfg := ConfigFor(selector.Selector{}.Decide(est, 1<<20))
 
 	chosen := NewSession(7, cond).Run(cfg, Download, 1<<20)
 	wifi := NewSession(7, cond).Run(Config{Transport: TCP, Iface: "wifi"}, Download, 1<<20)
@@ -155,15 +164,15 @@ func TestSelectorBeatsWorstStaticPolicy(t *testing.T) {
 }
 
 func TestEstimateHelpers(t *testing.T) {
-	e := WiFiLTEEstimate(4, 8, 0, 0)
+	e := wifiLTE(4, 8, 0, 0)
 	if e.Disparity() != 2 {
 		t.Fatalf("disparity = %v, want 2", e.Disparity())
 	}
-	tie := WiFiLTEEstimate(5, 5, 30*time.Millisecond, 60*time.Millisecond)
+	tie := wifiLTE(5, 5, 30*time.Millisecond, 60*time.Millisecond)
 	if tie.Best() != "wifi" {
 		t.Fatal("tie should prefer lower RTT (wifi)")
 	}
-	zero := WiFiLTEEstimate(0, 5, 0, 0)
+	zero := wifiLTE(0, 5, 0, 0)
 	if zero.Disparity() < 1e6 {
 		t.Fatal("zero estimate should give infinite disparity")
 	}
@@ -171,34 +180,34 @@ func TestEstimateHelpers(t *testing.T) {
 
 func TestEstimateEdgeCases(t *testing.T) {
 	// Throughput tie broken by RTT regardless of estimate order.
-	e := NewEstimate(
-		PathEstimate{Name: "slowrtt", Mbps: 5, RTT: 80 * time.Millisecond},
-		PathEstimate{Name: "fastrtt", Mbps: 5, RTT: 20 * time.Millisecond},
+	e := selector.EstimateOf(
+		selector.PathEstimate{Name: "slowrtt", Mbps: 5, RTT: 80 * time.Millisecond},
+		selector.PathEstimate{Name: "fastrtt", Mbps: 5, RTT: 20 * time.Millisecond},
 	)
 	if e.Best() != "fastrtt" {
 		t.Fatalf("Best = %q, want fastrtt (RTT tie-break)", e.Best())
 	}
 	// Full tie falls back to estimate order.
-	even := NewEstimate(
-		PathEstimate{Name: "a", Mbps: 5, RTT: 20 * time.Millisecond},
-		PathEstimate{Name: "b", Mbps: 5, RTT: 20 * time.Millisecond},
+	even := selector.EstimateOf(
+		selector.PathEstimate{Name: "a", Mbps: 5, RTT: 20 * time.Millisecond},
+		selector.PathEstimate{Name: "b", Mbps: 5, RTT: 20 * time.Millisecond},
 	)
 	if even.Best() != "a" {
 		t.Fatalf("Best = %q, want first-listed path on full tie", even.Best())
 	}
 	// Zero-rate path poisons the whole-set disparity...
-	z := NewEstimate(
-		PathEstimate{Name: "up", Mbps: 10},
-		PathEstimate{Name: "dead", Mbps: 0},
+	z := selector.EstimateOf(
+		selector.PathEstimate{Name: "up", Mbps: 10},
+		selector.PathEstimate{Name: "dead", Mbps: 0},
 	)
 	if z.Disparity() < 1e6 {
 		t.Fatalf("disparity with dead path = %v, want huge", z.Disparity())
 	}
 	// ...and empty / single-path estimates never admit MPTCP.
-	if (Estimate{}).Disparity() < 1e6 || (Estimate{}).Best() != "" {
+	if (selector.Estimate{}).Disparity() < 1e6 || (selector.Estimate{}).Best() != "" {
 		t.Fatal("empty estimate: want huge disparity and no best path")
 	}
-	one := NewEstimate(PathEstimate{Name: "only", Mbps: 7})
+	one := selector.EstimateOf(selector.PathEstimate{Name: "only", Mbps: 7})
 	if one.Disparity() < 1e6 || one.PairDisparity() < 1e6 {
 		t.Fatal("single path: want huge disparities")
 	}
@@ -208,11 +217,11 @@ func TestEstimateEdgeCases(t *testing.T) {
 }
 
 func TestEstimateNPathRanking(t *testing.T) {
-	e := NewEstimate(
-		PathEstimate{Name: "wlan-far", Mbps: 2, RTT: 55 * time.Millisecond},
-		PathEstimate{Name: "lte-a", Mbps: 9, RTT: 60 * time.Millisecond},
-		PathEstimate{Name: "lte-b", Mbps: 9, RTT: 45 * time.Millisecond},
-		PathEstimate{Name: "wlan-near", Mbps: 12, RTT: 25 * time.Millisecond},
+	e := selector.EstimateOf(
+		selector.PathEstimate{Name: "wlan-far", Mbps: 2, RTT: 55 * time.Millisecond},
+		selector.PathEstimate{Name: "lte-a", Mbps: 9, RTT: 60 * time.Millisecond},
+		selector.PathEstimate{Name: "lte-b", Mbps: 9, RTT: 45 * time.Millisecond},
+		selector.PathEstimate{Name: "wlan-near", Mbps: 12, RTT: 25 * time.Millisecond},
 	)
 	want := []string{"wlan-near", "lte-b", "lte-a", "wlan-far"}
 	for i, p := range e.Ranked() {
@@ -232,13 +241,13 @@ func TestEstimateNPathRanking(t *testing.T) {
 		t.Fatalf("PairDisparity = %v, want 12/9", d)
 	}
 	// A straggler path must not veto MPTCP over the two good paths.
-	sel := Selector{}
+	sel := selector.Selector{}
 	if !sel.UseMPTCP(e, 5<<20) {
 		t.Fatal("long flow over comparable best pair should use MPTCP")
 	}
 	cfg := ConfigFor(sel.Decide(e, 5<<20))
 	if cfg.Transport != MPTCP || cfg.Primary != "wlan-near" {
-		t.Fatalf("Choose = %+v, want MPTCP primary wlan-near", cfg)
+		t.Fatalf("ConfigFor = %+v, want MPTCP primary wlan-near", cfg)
 	}
 	if sel.UseMPTCP(e, 10<<10) {
 		t.Fatal("short flow should stay single-path")

@@ -1,61 +1,22 @@
 package core
 
 import (
-	"time"
-
 	"multinet/internal/mptcp"
 	"multinet/internal/selector"
 )
 
-// The selector API is re-homed in internal/selector — the redesigned
-// public decision surface shared by the offline experiments and the
-// online path-selection service (internal/serve, cmd/serve). core
-// keeps type aliases and thin constructors so experiment code written
-// against the original accreted API keeps compiling, and ConfigFor
-// maps a selector.Decision onto the transfer Config this package
-// runs; every decision, offline or online, flows through
-// selector.Selector.Decide.
-
-// PathEstimate is one path's estimated conditions.
-//
-// Deprecated: use selector.PathEstimate (this is an alias of it).
-type PathEstimate = selector.PathEstimate
-
-// Estimate summarises the current conditions of any number of paths.
-//
-// Deprecated: use selector.Estimate (this is an alias of it).
-type Estimate = selector.Estimate
-
-// Selector is the adaptive policy over an Estimate; see
-// selector.Selector for the policy's findings-to-rules mapping.
-//
-// Deprecated: use selector.Selector (this is an alias of it).
-type Selector = selector.Selector
-
-// NewEstimate builds an estimate from per-path stats in preference
-// order.
-//
-// Deprecated: use selector.EstimateOf.
-func NewEstimate(paths ...PathEstimate) Estimate {
-	return selector.EstimateOf(paths...)
-}
-
-// WiFiLTEEstimate is the two-path convenience constructor for the
-// paper's classic {wifi, lte} pair, a special case of the N-path
-// selector.EstimateOf idiom.
-func WiFiLTEEstimate(wifiMbps, lteMbps float64, wifiRTT, lteRTT time.Duration) Estimate {
-	return selector.EstimateOf(
-		PathEstimate{Name: "wifi", Mbps: wifiMbps, RTT: wifiRTT},
-		PathEstimate{Name: "lte", Mbps: lteMbps, RTT: lteRTT},
-	)
-}
+// The selector API lives in internal/selector — the decision surface
+// shared by the offline experiments and the online path-selection
+// service (internal/serve, cmd/serve). ConfigFor maps a
+// selector.Decision onto the transfer Config this package runs, and
+// Probe measures a session's paths into a selector.Estimate.
 
 // ConfigFor maps a selector Decision onto the transfer Config that
 // realises it: single-path TCP on the preferred path, or MPTCP with
 // the preferred path as primary and the decided coupling. The decided
 // scheduler is carried only when it differs from the min-SRTT default
-// so configuration names (and the output goldens pinning them) render
-// exactly as the pre-redesign Selector.Choose did.
+// so configuration names (and the output goldens pinning them) omit
+// the default.
 func ConfigFor(d selector.Decision) Config {
 	if !d.UseMPTCP {
 		return Config{Transport: TCP, Iface: d.Primary()}
@@ -67,24 +28,14 @@ func ConfigFor(d selector.Decision) Config {
 	return cfg
 }
 
-// Choose evaluates the policy and returns the transfer configuration
-// for a flow of the given size under the estimated conditions — the
-// legacy one-call form of ConfigFor(s.Decide(e, flowBytes)).
-//
-// Deprecated: call selector.Selector.Decide and ConfigFor so the
-// Decision's rationale and scheduler survive to the caller.
-func Choose(s Selector, e Estimate, flowBytes int) Config {
-	return ConfigFor(s.Decide(e, flowBytes))
-}
-
 // ProbeSize is the transfer used per network by Session.Probe.
 const ProbeSize = 256 << 10
 
 // Probe measures every attached network with a ProbeSize download
 // each, in attachment order, and returns the resulting estimate. It
 // advances the session clock.
-func (s *Session) Probe() Estimate {
-	est := Estimate{}
+func (s *Session) Probe() selector.Estimate {
+	est := selector.Estimate{}
 	for _, name := range s.Host.IfaceNames() {
 		r := s.Run(Config{Transport: TCP, Iface: name}, Download, ProbeSize)
 		if r.Completed {

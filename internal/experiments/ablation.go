@@ -8,7 +8,9 @@ import (
 	"multinet/internal/core"
 	"multinet/internal/energy"
 	"multinet/internal/experiments/engine"
+	"multinet/internal/mptcp"
 	"multinet/internal/phy"
+	"multinet/internal/selector"
 	"multinet/internal/simnet"
 	"multinet/internal/stats"
 )
@@ -86,10 +88,12 @@ type AblationSchedulerResult struct {
 	RoundRobinMbps float64
 }
 
-// AblationScheduler measures 1 MB MPTCP downloads with each scheduler.
-// It keeps the legacy RoundRobin flag (client-side wiring only) so its
-// output golden stays bit-identical; scenario-schedulers is the full
-// both-ends scheduler comparison over the pluggable Scheduler layer.
+// AblationScheduler measures 1 MB MPTCP downloads with each scheduler;
+// scenario-schedulers is the full scheduler comparison over more
+// locations and both directions. The two arms run at different seeds
+// (772,0 and 772,1), and at matched seeds min-SRTT and round-robin give
+// identical downloads on this location, so the printed gap is seed
+// variance rather than a scheduler effect (EXPERIMENTS.md).
 func AblationScheduler(o Options) AblationSchedulerResult {
 	loc := phy.LocLTEMuchBetter
 	trials := o.TrialCount(5)
@@ -99,7 +103,7 @@ func AblationScheduler(o Options) AblationSchedulerResult {
 		MinRTTMbps: measureMbps(o, seedFor(o.BaseSeed(), 772, 0), loc.Condition(),
 			core.Config{Transport: core.MPTCP, Primary: "lte"}, core.Download, 1<<20, trials),
 		RoundRobinMbps: measureMbps(o, seedFor(o.BaseSeed(), 772, 1), loc.Condition(),
-			core.Config{Transport: core.MPTCP, Primary: "lte", RoundRobin: true}, core.Download, 1<<20, trials),
+			core.Config{Transport: core.MPTCP, Primary: "lte", Scheduler: mptcp.SchedRoundRobin}, core.Download, 1<<20, trials),
 	}
 }
 
@@ -178,19 +182,19 @@ type AblationSelectorResult struct {
 func AblationSelector(o Options) AblationSelectorResult {
 	sizes := []int{10 << 10, 100 << 10, 1 << 20, 4 << 20}
 	n := o.LocationCount(len(phy.Locations))
-	policies := map[string]func(est core.Estimate, size int) core.Config{
-		"adaptive-selector": func(est core.Estimate, size int) core.Config {
+	policies := map[string]func(est selector.Estimate, size int) core.Config{
+		"adaptive-selector": func(est selector.Estimate, size int) core.Config {
 			// The same Decide path the online service queries
 			// (internal/selector → internal/serve): no forked logic.
-			return core.ConfigFor(core.Selector{}.Decide(est, size))
+			return core.ConfigFor(selector.Selector{}.Decide(est, size))
 		},
-		"always-wifi": func(core.Estimate, int) core.Config {
+		"always-wifi": func(selector.Estimate, int) core.Config {
 			return core.Config{Transport: core.TCP, Iface: "wifi"}
 		},
-		"always-lte": func(core.Estimate, int) core.Config {
+		"always-lte": func(selector.Estimate, int) core.Config {
 			return core.Config{Transport: core.TCP, Iface: "lte"}
 		},
-		"always-mptcp": func(core.Estimate, int) core.Config {
+		"always-mptcp": func(selector.Estimate, int) core.Config {
 			return core.Config{Transport: core.MPTCP, Primary: "wifi"}
 		},
 	}

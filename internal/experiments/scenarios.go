@@ -11,6 +11,7 @@ import (
 	"multinet/internal/oracle"
 	"multinet/internal/phy"
 	"multinet/internal/replay"
+	"multinet/internal/selector"
 )
 
 // The scenario experiments go beyond the paper's WiFi+LTE testbed:
@@ -45,7 +46,7 @@ var scenarioSizesKB = []int{100, 1024, 4096}
 type ScenarioVariantResult struct {
 	Name string
 	// Ranked is the probe estimate, best path first.
-	Ranked []core.PathEstimate
+	Ranked []selector.PathEstimate
 	// Disparity is the probe's best-to-second-best throughput ratio.
 	Disparity float64
 	// Decisions maps flow size (KB) index to the selector's choice.
@@ -88,7 +89,7 @@ func runScenarioVariants(o Options, tag int, variants []scenarioVariant) []Scena
 				v.cfgs[ci], core.Download, scenarioSizesKB[si]<<10, trials)
 		})
 		for si, kb := range scenarioSizesKB {
-			res.Decisions = append(res.Decisions, core.ConfigFor(core.Selector{}.Decide(est, kb<<10)).Name())
+			res.Decisions = append(res.Decisions, core.ConfigFor(selector.Selector{}.Decide(est, kb<<10)).Name())
 			res.Mbps = append(res.Mbps, grid[si*len(v.cfgs):(si+1)*len(v.cfgs)])
 		}
 		last := res.Mbps[len(res.Mbps)-1]

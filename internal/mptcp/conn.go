@@ -42,9 +42,6 @@ type Config struct {
 	// Scheduler names the registered data scheduler (see
 	// RegisterScheduler); empty means SchedMinSRTT, the Linux default.
 	Scheduler string
-	// RoundRobin is the legacy ablation flag, equivalent to
-	// Scheduler: SchedRoundRobin (ignored when Scheduler is set).
-	RoundRobin bool
 	// RejoinBackoff is the client-side delay before re-establishing a
 	// subflow after its interface recovers from an administrative down
 	// (default DefaultRejoinBackoff). Each consecutive failed re-join

@@ -1,6 +1,7 @@
 package mptcp
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -111,17 +112,12 @@ func init() {
 	RegisterScheduler(SchedHoLAware, func() Scheduler { return &holAware{} })
 }
 
-// schedulerFor resolves the configured scheduler, honouring the legacy
-// RoundRobin ablation flag.
+// schedulerFor resolves the configured scheduler (empty: min-SRTT).
 func schedulerFor(cfg Config) Scheduler {
-	switch {
-	case cfg.Scheduler != "":
-		return NewScheduler(cfg.Scheduler)
-	case cfg.RoundRobin:
-		return NewScheduler(SchedRoundRobin)
-	default:
+	if cfg.Scheduler == "" {
 		return NewScheduler(SchedMinSRTT)
 	}
+	return NewScheduler(cfg.Scheduler)
 }
 
 // sfSRTT is the scheduling view of a subflow's RTT: subflows without
@@ -163,11 +159,17 @@ type roundRobin struct{ counter int }
 
 func (*roundRobin) Name() string { return SchedRoundRobin }
 
+// Rank rotates sfs left in place (three reversals), so it never
+// allocates.
+//
+//multinet:hotpath
 func (s *roundRobin) Rank(c *Conn, sfs []*Subflow) []*Subflow {
 	if n := len(sfs); n > 1 {
 		s.counter++
 		k := s.counter % n
-		sfs = append(sfs[k:], sfs[:k]...)
+		slices.Reverse(sfs[:k])
+		slices.Reverse(sfs[k:])
+		slices.Reverse(sfs)
 	}
 	return sfs
 }

@@ -177,7 +177,7 @@ func (b *baseLink) purge() {
 
 // FixedLink is a constant-bit-rate link.
 //
-// It runs on an elided event schedule: because service is FIFO at a
+// It runs on an analytic event schedule: because service is FIFO at a
 // known rate, a packet's serialisation-done and arrival instants are
 // both computable the moment it is admitted —
 //
@@ -197,29 +197,6 @@ type FixedLink struct {
 	// busyUntil is the virtual serialiser clock: the done instant of
 	// the last admitted packet.
 	busyUntil time.Duration
-
-	// Fluid-advance state (see FluidAdmit). All of it is zero-valued —
-	// and every branch touching it disabled — until the first FluidAdmit,
-	// so default packet-mode runs execute the exact same instructions as
-	// before fluid mode existed.
-	//
-	// stateGen counts link reconfigurations (rate/down/blackhole) and
-	// trafficGen counts real Send calls; a fluid session snapshots both
-	// and aborts back to packet simulation when either moves underneath
-	// it — the "interesting event" detector.
-	stateGen   uint64
-	trafficGen uint64
-	// fluidNow is the high-water mark of virtual admission activity: the
-	// semantic clock of the hybrid simulation, which can run ahead of the
-	// kernel's event clock between fluid epochs. Occupancy eviction uses
-	// max(sim.Now(), fluidNow) so droptail decisions made during a fluid
-	// epoch and real decisions made after it agree.
-	fluidNow time.Duration
-	// vq holds the done instants of virtually admitted packets — the
-	// fluid half of the droptail occupancy, lazily evicted like the real
-	// service ring.
-	vq    []time.Duration
-	vhead int
 }
 
 // NewFixedLink creates a link that transmits at rateMbps megabits per
@@ -243,10 +220,6 @@ func (l *FixedLink) txTime(size int) time.Duration {
 	return time.Duration(float64(size*8) / l.rateBps * float64(time.Second))
 }
 
-// TxTime returns the serialisation time of size bytes at the current
-// rate (exported for fluid-advance planning).
-func (l *FixedLink) TxTime(size int) time.Duration { return l.txTime(size) }
-
 // SetRateMbps changes the link rate; it applies to packets whose
 // transmission starts after the change. Packets already admitted but
 // not yet started have precomputed schedules under the old rate, so
@@ -256,7 +229,6 @@ func (l *FixedLink) SetRateMbps(mbps float64) {
 	if mbps <= 0 {
 		panic("netem: FixedLink rate must be positive")
 	}
-	l.stateGen++
 	l.rateBps = mbps * 1e6
 	now := l.sim.Now()
 	l.evict()
@@ -281,56 +253,17 @@ func (l *FixedLink) SetRateMbps(mbps float64) {
 		base = p.doneAt
 	}
 	if q.len() > 0 {
-		if l.vqLen() == 0 {
-			l.busyUntil = base
-		} else if base > l.busyUntil {
-			// Virtual backlog extends past the real ring: the serialiser
-			// clock must never rewind below admissions already granted.
-			l.busyUntil = base
-		}
+		l.busyUntil = base
 	}
-}
-
-// vnow is the occupancy clock: the later of the kernel event clock and
-// the fluid semantic clock. In packet mode fluidNow is zero, so vnow is
-// exactly sim.Now().
-func (l *FixedLink) vnow() time.Duration {
-	now := l.sim.Now()
-	if l.fluidNow > now {
-		return l.fluidNow
-	}
-	return now
 }
 
 // evict pops service-ring packets whose serialisation has completed:
 // they no longer occupy the droptail queue. Ownership of an evicted
 // packet rests solely with its pending arrival event.
 func (l *FixedLink) evict() {
-	now := l.vnow()
+	now := l.sim.Now()
 	for l.queue.len() > 0 && l.queue.peek().doneAt <= now {
 		l.queue.pop()
-	}
-	l.vqEvict(now)
-}
-
-func (l *FixedLink) vqLen() int { return len(l.vq) - l.vhead }
-
-func (l *FixedLink) vqPush(done time.Duration) {
-	if l.vhead > 0 && len(l.vq) == cap(l.vq) {
-		n := copy(l.vq, l.vq[l.vhead:])
-		l.vq = l.vq[:n]
-		l.vhead = 0
-	}
-	l.vq = append(l.vq, done)
-}
-
-func (l *FixedLink) vqEvict(now time.Duration) {
-	for l.vhead < len(l.vq) && l.vq[l.vhead] <= now {
-		l.vhead++
-	}
-	if l.vhead == len(l.vq) {
-		l.vq = l.vq[:0]
-		l.vhead = 0
 	}
 }
 
@@ -338,17 +271,7 @@ func (l *FixedLink) vqEvict(now time.Duration) {
 //
 //multinet:hotpath
 func (l *FixedLink) Send(p *Packet) {
-	l.trafficGen++
 	l.evict() // occupancy must be current before admit's droptail check
-	if l.vqLen() > 0 && !l.down && !l.blackhole &&
-		l.queue.len()+l.vqLen() >= l.cfg.queueLimit() {
-		// Virtual backlog fills the droptail budget: the combined
-		// occupancy check lives here so baseLink.admit stays untouched
-		// for the packet-mode hot path.
-		l.stats.DroppedQueue++
-		dropPacket(p)
-		return
-	}
 	if !l.admit(p) {
 		return
 	}
@@ -364,7 +287,7 @@ func (l *FixedLink) Send(p *Packet) {
 }
 
 // fixedLinkArrive fires when a packet reaches the far end: the single
-// per-packet event of the elided schedule.
+// per-packet event of the analytic schedule.
 //
 //multinet:hotpath
 func fixedLinkArrive(a any) {
@@ -407,15 +330,6 @@ func (l *FixedLink) stopService() {
 		l.stats.LostInFlight++
 		dropPacket(p)
 	}
-	if n := l.vqLen(); n > 0 {
-		// Virtually admitted packets die with the link, as queued real
-		// packets do; the owning fluid session notices via stateGen and
-		// discards its side of the bookkeeping.
-		l.stats.DroppedDown += n
-		l.stats.LostInFlight += n
-		l.vq = l.vq[:0]
-		l.vhead = 0
-	}
 }
 
 // QueueLen implements Link: packets waiting or serialising right now.
@@ -426,7 +340,6 @@ func (l *FixedLink) QueueLen() int {
 
 // SetDown implements Link. Bringing the link down purges the queue.
 func (l *FixedLink) SetDown(down bool) {
-	l.stateGen++
 	was := l.down
 	l.down = down
 	if down {
@@ -436,17 +349,8 @@ func (l *FixedLink) SetDown(down bool) {
 	}
 }
 
-// SetLossProb implements Link. The generation bump dissolves any fluid
-// session whose admission plan assumed the old loss regime (Lossless is
-// part of a session's eligibility check).
-func (l *FixedLink) SetLossProb(p float64, rng *rand.Rand) {
-	l.stateGen++
-	l.baseLink.SetLossProb(p, rng)
-}
-
 // SetBlackhole implements Link.
 func (l *FixedLink) SetBlackhole(bh bool) {
-	l.stateGen++
 	was := l.blackhole
 	l.blackhole = bh
 	if bh {
@@ -454,83 +358,6 @@ func (l *FixedLink) SetBlackhole(bh bool) {
 	} else if was && !bh {
 		l.busyUntil = l.sim.Now()
 	}
-}
-
-// ---- Fluid-advance interface ----------------------------------------
-//
-// A fluid session (internal/tcp) advances a steady TCP flow analytically
-// against this link's serialiser clock instead of scheduling per-packet
-// events. The contract: the session pre-checks admissibility with
-// FluidHeadroom, admits with FluidAdmit (which returns the exact
-// serialisation-done instant the packet-level simulation would have
-// produced), counts the delivery with FluidDeliver when it processes the
-// corresponding arrival, and watches Gen to detect any interfering
-// reconfiguration or real traffic.
-
-// Gen returns the (state, traffic) generation counters. Any change
-// means the closed-form schedule a fluid session computed may be stale.
-func (l *FixedLink) Gen() (state, traffic uint64) { return l.stateGen, l.trafficGen }
-
-// Available reports whether the link is neither down nor blackholed.
-func (l *FixedLink) Available() bool { return !l.down && !l.blackhole }
-
-// Lossless reports whether the link never drops packets at random.
-func (l *FixedLink) Lossless() bool { return l.cfg.LossProb == 0 }
-
-// PropDelay returns the one-way propagation delay.
-func (l *FixedLink) PropDelay() time.Duration { return l.cfg.PropDelay }
-
-// QueueLimit returns the droptail capacity in packets.
-func (l *FixedLink) QueueLimit() int { return l.cfg.queueLimit() }
-
-// BusyUntil returns the virtual serialiser clock.
-func (l *FixedLink) BusyUntil() time.Duration { return l.busyUntil }
-
-// FluidHeadroom returns the droptail slots free at semantic time at:
-// the queue limit minus packets (real or virtual) still waiting or
-// serialising then. It advances the occupancy clock to at.
-func (l *FixedLink) FluidHeadroom(at time.Duration) int {
-	if at > l.fluidNow {
-		l.fluidNow = at
-	}
-	l.evict()
-	return l.cfg.queueLimit() - l.queue.len() - l.vqLen()
-}
-
-// FluidAdmit accepts a packet of size bytes onto the link at semantic
-// time at without scheduling any event, and returns its serialisation-
-// done instant (arrival at the far end is done + PropDelay). The caller
-// must have verified headroom and availability; FluidAdmit itself never
-// drops.
-func (l *FixedLink) FluidAdmit(size int, at time.Duration) (done time.Duration) {
-	start := l.busyUntil
-	if at > start {
-		start = at
-	}
-	done = start + l.txTime(size)
-	l.busyUntil = done
-	if at > l.fluidNow {
-		l.fluidNow = at
-	}
-	l.vqPush(done)
-	l.stats.Sent++
-	l.stats.Elided++
-	l.stats.BytesIn += int64(size)
-	return done
-}
-
-// FluidDeliver records the far-end delivery of a virtually admitted
-// packet of size bytes.
-func (l *FixedLink) FluidDeliver(size int) {
-	l.stats.Delivered++
-	l.stats.BytesOut += int64(size)
-}
-
-// FluidDropQueue records a droptail discard of a packet that fluid-
-// advance mode chose not to admit (the virtual queue was full), keeping
-// the drop counters comparable with packet mode.
-func (l *FixedLink) FluidDropQueue() {
-	l.stats.DroppedQueue++
 }
 
 // OpportunitySource produces the packet-delivery schedule for a VarLink.

@@ -396,7 +396,7 @@ func TestPromotionKeepsFIFO(t *testing.T) {
 	}
 }
 
-// --- elided-schedule FixedLink edge cases ------------------------------
+// --- analytic-schedule FixedLink edge cases ------------------------------
 
 // Rate changes apply to transmissions starting after the change: the
 // in-service packet keeps its old schedule, queued packets are

@@ -78,7 +78,7 @@ type Packet struct {
 	// Iface.SendUp), for the same reason.
 	promo Link
 
-	// FixedLink elided-schedule state (see FixedLink): the packet's
+	// FixedLink analytic-schedule state (see FixedLink): the packet's
 	// serialisation window, its single arrival event, and the owning
 	// link for that event's callback. All are computed at admit time.
 	startAt time.Duration
@@ -133,10 +133,6 @@ type LinkStats struct {
 	DroppedDown  int // discards while the link was down or blackholed
 	BytesIn      int64
 	BytesOut     int64
-	// Elided counts packets carried analytically by fluid-advance mode
-	// (see FixedLink.FluidAdmit): they are included in Sent/Delivered but
-	// never existed as simulator events.
-	Elided int
 	// LostInFlight counts admitted packets (included in Sent) that died
 	// before reaching the receiver — queued or on the wire when the link
 	// went down or blackholed. It is a sub-count of DroppedDown, kept

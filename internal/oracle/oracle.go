@@ -113,7 +113,7 @@ func ForPaths(labels []string) (schemes []PathScheme, baseline string) {
 }
 
 // ForSchedulers generates the scheduler-comparison oracle family over
-// the configuration names of replay.SchedulerConfigsFor: the
+// the configuration names of replay.Configs(..., WithSchedulers(...)): the
 // first-label TCP baseline, the single-path oracle over all N
 // alternatives (the N-path oracle every scheduler is normalised
 // against), and one oracle per scheduler that knows the best primary

@@ -169,24 +169,10 @@ func Configs(paths []PathName, opts ...ConfigsOption) []TransportConfig {
 	return out
 }
 
-// ConfigsFor generates the coupling family for a path set.
-//
-// Deprecated: use Configs(paths).
-func ConfigsFor(paths []PathName) []TransportConfig {
-	return Configs(paths)
-}
-
 // StandardConfigs returns the paper's six replay configurations in its
 // Fig. 18/20 legend order.
 func StandardConfigs() []TransportConfig {
 	return Configs(WiFiLTEPaths())
-}
-
-// SchedulerConfigsFor generates the scheduler-comparison family.
-//
-// Deprecated: use Configs(paths, WithSchedulers(schedulers...)).
-func SchedulerConfigsFor(paths []PathName, schedulers []string) []TransportConfig {
-	return Configs(paths, WithSchedulers(schedulers...))
 }
 
 // FlowStat records one replayed connection's timing.

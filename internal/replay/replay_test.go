@@ -172,9 +172,9 @@ func TestFlowStatRate(t *testing.T) {
 	}
 }
 
-func TestSchedulerConfigsForShape(t *testing.T) {
+func TestConfigsWithSchedulersShape(t *testing.T) {
 	scheds := []string{"minsrtt", "holaware"}
-	tcs := SchedulerConfigsFor(WiFiLTEPaths(), scheds)
+	tcs := Configs(WiFiLTEPaths(), WithSchedulers(scheds...))
 	if want := 2 + len(scheds)*2; len(tcs) != want {
 		t.Fatalf("configs = %d, want %d (N TCP + S*N MPTCP)", len(tcs), want)
 	}
@@ -200,7 +200,7 @@ func TestSchedulerConfigsForShape(t *testing.T) {
 func TestSchedulerConfigsReplayComplete(t *testing.T) {
 	// Every scheduler variant must drive a full replay to completion.
 	rec := Record(apps.DropboxClick)
-	for _, tc := range SchedulerConfigsFor(WiFiLTEPaths(), mptcp.SchedulerNames()) {
+	for _, tc := range Configs(WiFiLTEPaths(), WithSchedulers(mptcp.SchedulerNames()...)) {
 		if tc.Kind != Multipath {
 			continue
 		}
@@ -210,30 +210,29 @@ func TestSchedulerConfigsReplayComplete(t *testing.T) {
 	}
 }
 
-// TestConfigsMatchesDeprecatedWrappers pins the consolidation: the
-// functional-options Configs must generate byte-for-byte the families
-// the deprecated ConfigsFor/SchedulerConfigsFor names produced.
-func TestConfigsMatchesDeprecatedWrappers(t *testing.T) {
+// TestConfigsFamilySizes pins the N-path family sizes beyond the
+// classic pair: N + 2N configurations for the coupling family and
+// N + S*N for the scheduler family, with unique names.
+func TestConfigsFamilySizes(t *testing.T) {
 	paths := append(WiFiLTEPaths(), PathName{Iface: "eth", Label: "Eth"})
-	a := Configs(paths)
-	b := ConfigsFor(paths)
-	if len(a) != len(b) || len(a) != 9 {
-		t.Fatalf("coupling family sizes: %d vs %d, want 9", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("config %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
 	scheds := mptcp.SchedulerNames()
-	c := Configs(paths, WithSchedulers(scheds...))
-	d := SchedulerConfigsFor(paths, scheds)
-	if len(c) != len(d) || len(c) != len(paths)*(1+len(scheds)) {
-		t.Fatalf("scheduler family sizes: %d vs %d", len(c), len(d))
-	}
-	for i := range c {
-		if c[i] != d[i] {
-			t.Fatalf("config %d: %+v vs %+v", i, c[i], d[i])
+	for _, tc := range []struct {
+		name string
+		got  []TransportConfig
+		want int
+	}{
+		{"couplings", Configs(paths), 9},
+		{"schedulers", Configs(paths, WithSchedulers(scheds...)), len(paths) * (1 + len(scheds))},
+	} {
+		if len(tc.got) != tc.want {
+			t.Fatalf("%s family: %d configs, want %d", tc.name, len(tc.got), tc.want)
+		}
+		seen := map[string]bool{}
+		for _, c := range tc.got {
+			if seen[c.Name] {
+				t.Fatalf("%s family: duplicate config %q", tc.name, c.Name)
+			}
+			seen[c.Name] = true
 		}
 	}
 }

@@ -8,20 +8,28 @@ package serve
 // field iterator over the raw bytes covers them with zero allocations,
 // and responses are appended into the pooled scratch buffer.
 //
-// Accepted subset: one JSON object of string/number/bool fields.
-// Nested objects and arrays are rejected (no request shape uses
-// them), \uXXXX escapes are rejected (site/path names are plain
-// ASCII identifiers in every deployment this serves), and numbers
-// follow the JSON grammar including exponents.
+// Accepted subset: one JSON object of string/number/bool/null fields,
+// optionally surrounded by whitespace. Nested objects and arrays are
+// rejected (no request shape uses them), escapes other than \" \\ \/
+// are rejected (site/path names are plain identifiers in every
+// deployment this serves), strings must be valid UTF-8 without control
+// characters, and numbers follow the JSON grammar including exponents
+// but must be finite. Every accepted body is valid JSON that
+// encoding/json decodes to the same values (FuzzServeJSON).
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+	"unicode/utf8"
+)
 
 // jsonScan iterates the fields of a flat JSON object. The zero value
 // is invalid; start with newJSONScan.
 type jsonScan struct {
-	b   []byte
-	i   int
-	err bool
+	b      []byte
+	i      int
+	fields int // keys scanned so far: every later key needs a comma
+	err    bool
 }
 
 func newJSONScan(b []byte) jsonScan {
@@ -48,8 +56,8 @@ func (s *jsonScan) ws() {
 }
 
 // next advances to the next key, returning its bytes (unescaped in
-// place only for the \" and \\ forms — see unescape) and true, or
-// false at the object's end or on a syntax error (check s.err).
+// place — see str) and true, or false at the object's end or on a
+// syntax error (check s.err). Only whitespace may follow the object.
 //
 //multinet:hotpath
 func (s *jsonScan) next() ([]byte, bool) {
@@ -58,14 +66,20 @@ func (s *jsonScan) next() ([]byte, bool) {
 		s.err = true
 		return nil, false
 	}
-	switch s.b[s.i] {
-	case '}':
-		s.i++
-		return nil, false
-	case ',':
+	switch c := s.b[s.i]; {
+	case c == '}':
 		s.i++
 		s.ws()
+		s.err = s.i != len(s.b)
+		return nil, false
+	case s.fields > 0 && c == ',':
+		s.i++
+		s.ws()
+	case s.fields > 0:
+		s.err = true // fields must be comma-separated
+		return nil, false
 	}
+	s.fields++
 	key, ok := s.str()
 	if !ok {
 		return nil, false
@@ -83,7 +97,7 @@ func (s *jsonScan) next() ([]byte, bool) {
 // str parses the quoted string at the cursor, returning its contents.
 // Escapes other than \" \\ \/ are rejected; those three are unescaped
 // by shifting in place (the buffer is the request scratch, ours to
-// mutate).
+// mutate). Control characters and invalid UTF-8 are rejected.
 //
 //multinet:hotpath
 func (s *jsonScan) str() ([]byte, bool) {
@@ -93,15 +107,21 @@ func (s *jsonScan) str() ([]byte, bool) {
 	}
 	s.i++
 	start := s.i
-	w := s.i // write cursor for in-place unescaping
+	w := s.i      // write cursor for in-place unescaping
+	var high byte // OR of every byte: >= 0x80 means non-ASCII to validate
 	for s.i < len(s.b) {
 		c := s.b[s.i]
-		switch c {
-		case '"':
+		high |= c
+		switch {
+		case c == '"':
 			out := s.b[start:w]
 			s.i++
+			if high >= utf8.RuneSelf && !utf8.Valid(out) {
+				s.err = true
+				return nil, false
+			}
 			return out, true
-		case '\\':
+		case c == '\\':
 			s.i++
 			if s.i >= len(s.b) {
 				s.err = true
@@ -116,6 +136,9 @@ func (s *jsonScan) str() ([]byte, bool) {
 			}
 			w++
 			s.i++
+		case c < 0x20:
+			s.err = true
+			return nil, false
 		default:
 			s.b[w] = c
 			w++
@@ -140,23 +163,31 @@ func (s *jsonScan) skipValue() {
 		s.str()
 	case c == '-' || (c >= '0' && c <= '9'):
 		s.num()
-	case c == 't' || c == 'f' || c == 'n':
-		for s.i < len(s.b) {
-			switch s.b[s.i] {
-			case ',', '}', ' ', '\t', '\n', '\r':
-				return
-			}
-			s.i++
-		}
+	case c == 't':
+		s.literal("true")
+	case c == 'f':
+		s.literal("false")
+	case c == 'n':
+		s.literal("null")
 	default:
 		s.err = true
 	}
 }
 
+// literal consumes the keyword lit at the cursor.
+func (s *jsonScan) literal(lit string) {
+	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
+		s.err = true
+		return
+	}
+	s.i += len(lit)
+}
+
 // num parses the JSON number at the cursor without allocating:
 // strconv.ParseFloat(string(b), ...) would heap-copy the bytes
 // because its error path retains the string, so the mantissa and
-// exponent are accumulated by hand.
+// exponent are accumulated by hand. Values that do not fit a finite
+// float64 are rejected.
 //
 //multinet:hotpath
 func (s *jsonScan) num() (float64, bool) {
@@ -171,8 +202,8 @@ func (s *jsonScan) num() (float64, bool) {
 		mant = mant*10 + float64(s.b[s.i]-'0')
 		s.i++
 	}
-	if s.i == start {
-		s.err = true
+	if s.i == start || (s.i-start > 1 && s.b[start] == '0') {
+		s.err = true // no digits, or a leading zero
 		return 0, false
 	}
 	scale := 0
@@ -217,10 +248,16 @@ func (s *jsonScan) num() (float64, bool) {
 	// Dividing (rather than multiplying by a reciprocal) keeps short
 	// decimals exact: 125/10 is 12.5 on the nose, 125*0.1 is not.
 	var v float64
-	if scale < 0 {
+	switch {
+	case mant == 0:
+	case scale < 0:
 		v = mant / pow10(-scale)
-	} else {
+	default:
 		v = mant * pow10(scale)
+	}
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		s.err = true
+		return 0, false
 	}
 	if neg {
 		v = -v
@@ -259,8 +296,8 @@ func (s *jsonScan) intNum() (int, bool) {
 		n = n*10 + d
 		s.i++
 	}
-	if s.i == start {
-		s.err = true
+	if s.i == start || (s.i-start > 1 && s.b[start] == '0') {
+		s.err = true // no digits, or a leading zero
 		return 0, false
 	}
 	if s.i < len(s.b) {

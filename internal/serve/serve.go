@@ -194,27 +194,8 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 //
 //multinet:hotpath
 func (s *Server) DecideBytes(body []byte, sc *Scratch) int {
-	var site []byte
-	flowBytes := -1
-	scan := newJSONScan(body)
-	for {
-		key, ok := scan.next()
-		if !ok {
-			break
-		}
-		switch {
-		case keyIs(key, "site"):
-			site, ok = scan.str()
-		case keyIs(key, "flow_bytes"):
-			flowBytes, ok = scan.intNum()
-		default:
-			scan.skipValue()
-		}
-		if !ok || scan.err {
-			break
-		}
-	}
-	if scan.err || len(site) == 0 || flowBytes < 0 {
+	site, flowBytes, ok := parseDecide(body)
+	if !ok {
 		s.badRequests.Add(1)
 		sc.Out = append(sc.Out[:0], errBadRequest...) //lint:allow hotpath malformed-request cold path; capacity is amortised by the pooled Scratch
 		return http.StatusBadRequest
@@ -227,6 +208,34 @@ func (s *Server) DecideBytes(body []byte, sc *Scratch) int {
 	s.decides.Add(1)
 	s.renderDecision(sc, site)
 	return http.StatusOK
+}
+
+// parseDecide scans a decide request, unescaping body in place. ok is
+// false unless the body is well-formed and carries a non-empty site
+// and a non-negative integer flow_bytes.
+//
+//multinet:hotpath
+func parseDecide(body []byte) (site []byte, flowBytes int, ok bool) {
+	flowBytes = -1
+	scan := newJSONScan(body)
+	for {
+		key, more := scan.next()
+		if !more {
+			break
+		}
+		switch {
+		case keyIs(key, "site"):
+			site, more = scan.str()
+		case keyIs(key, "flow_bytes"):
+			flowBytes, more = scan.intNum()
+		default:
+			scan.skipValue()
+		}
+		if !more || scan.err {
+			break
+		}
+	}
+	return site, flowBytes, !scan.err && len(site) > 0 && flowBytes >= 0
 }
 
 // renderDecision appends the decision JSON to sc.Out.
@@ -275,31 +284,8 @@ func (s *Server) renderDecision(sc *Scratch, site []byte) {
 //
 //multinet:hotpath
 func (s *Server) TelemetryBytes(body []byte, sc *Scratch) int {
-	var site, path []byte
-	mbps, rtt := -1.0, -1.0
-	scan := newJSONScan(body)
-	for {
-		key, ok := scan.next()
-		if !ok {
-			break
-		}
-		switch {
-		case keyIs(key, "site"):
-			site, ok = scan.str()
-		case keyIs(key, "path"):
-			path, ok = scan.str()
-		case keyIs(key, "mbps"):
-			mbps, ok = scan.num()
-		case keyIs(key, "rtt_ms"):
-			rtt, ok = scan.num()
-		default:
-			scan.skipValue()
-		}
-		if !ok || scan.err {
-			break
-		}
-	}
-	if scan.err || len(site) == 0 || len(path) == 0 || mbps < 0 || rtt < 0 {
+	site, path, mbps, rtt, ok := parseTelemetry(body)
+	if !ok {
 		s.badRequests.Add(1)
 		sc.Out = append(sc.Out[:0], errBadRequest...) //lint:allow hotpath malformed-request cold path; capacity is amortised by the pooled Scratch
 		return http.StatusBadRequest
@@ -307,6 +293,38 @@ func (s *Server) TelemetryBytes(body []byte, sc *Scratch) int {
 	s.store.Observe(site, path, mbps, time.Duration(rtt*float64(time.Millisecond)), s.now())
 	s.telemetry.Add(1)
 	return http.StatusNoContent
+}
+
+// parseTelemetry scans a telemetry sample, unescaping body in place. ok
+// is false unless the body is well-formed and carries a non-empty site
+// and path and non-negative mbps and rtt_ms.
+//
+//multinet:hotpath
+func parseTelemetry(body []byte) (site, path []byte, mbps, rtt float64, ok bool) {
+	mbps, rtt = -1, -1
+	scan := newJSONScan(body)
+	for {
+		key, more := scan.next()
+		if !more {
+			break
+		}
+		switch {
+		case keyIs(key, "site"):
+			site, more = scan.str()
+		case keyIs(key, "path"):
+			path, more = scan.str()
+		case keyIs(key, "mbps"):
+			mbps, more = scan.num()
+		case keyIs(key, "rtt_ms"):
+			rtt, more = scan.num()
+		default:
+			scan.skipValue()
+		}
+		if !more || scan.err {
+			break
+		}
+	}
+	return site, path, mbps, rtt, !scan.err && len(site) > 0 && len(path) > 0 && mbps >= 0 && rtt >= 0
 }
 
 // StatsSnapshot returns the current counters.

@@ -281,3 +281,31 @@ func TestTelemetryBytesZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state TelemetryBytes allocates %v/op, want 0", n)
 	}
 }
+
+// TestScannerRejectsNonJSON pins the scanner to a subset of JSON: each
+// body is a well-formed telemetry sample except for one defect that
+// encoding/json would reject (or, for 1e400, cannot represent).
+func TestScannerRejectsNonJSON(t *testing.T) {
+	s, _ := newTestServer(selector.StoreConfig{})
+	sc := s.GetScratch()
+	defer s.PutScratch(sc)
+	for _, tc := range []struct{ name, body string }{
+		{"missing comma", `{"site":"a" "path":"w","mbps":1,"rtt_ms":1}`},
+		{"leading comma", `{,"site":"a","path":"w","mbps":1,"rtt_ms":1}`},
+		{"trailing comma", `{"site":"a","path":"w","mbps":1,"rtt_ms":1,}`},
+		{"trailing bytes", `{"site":"a","path":"w","mbps":1,"rtt_ms":1}xyz`},
+		{"bare word", `{"site":"a","path":"w","mbps":1,"rtt_ms":1,"x":tru}`},
+		{"leading zero", `{"site":"a","path":"w","mbps":01,"rtt_ms":1}`},
+		{"control character", "{\"site\":\"a\x01\",\"path\":\"w\",\"mbps\":1,\"rtt_ms\":1}"},
+		{"invalid UTF-8", "{\"site\":\"a\xff\",\"path\":\"w\",\"mbps\":1,\"rtt_ms\":1}"},
+		{"non-finite number", `{"site":"a","path":"w","mbps":1e400,"rtt_ms":1}`},
+	} {
+		if got := s.TelemetryBytes([]byte(tc.body), sc); got != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 for %q", tc.name, got, tc.body)
+		}
+	}
+	ok := `{"site":"a","path":"w","mbps":1,"rtt_ms":1,"x":true,"y":null,"z":0.5e-1} `
+	if got := s.TelemetryBytes([]byte(ok), sc); got != http.StatusNoContent {
+		t.Fatalf("valid body: status %d, want 204", got)
+	}
+}

@@ -8,13 +8,10 @@ import (
 // Micro-benchmarks for the simulator's transport engine: events per
 // transferred megabyte, useful when profiling experiment sweeps.
 
-func benchDownload(b *testing.B, size int, loss float64, fluid ...bool) {
+func benchDownload(b *testing.B, size int, loss float64) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := newTestNet(b, int64(i+1), 20, 15*time.Millisecond, loss)
-		if len(fluid) > 0 && fluid[0] {
-			EnableFluid(n.client, n.server)
-		}
 		var done bool
 		n.server.Accept = func(c *Conn) {
 			c.SetCallbacks(Callbacks{OnEstablished: func(c *Conn) { c.Send(size); c.Close() }})
@@ -33,4 +30,3 @@ func benchDownload(b *testing.B, size int, loss float64, fluid ...bool) {
 func BenchmarkDownload100KBClean(b *testing.B) { benchDownload(b, 100<<10, 0) }
 func BenchmarkDownload1MBClean(b *testing.B)   { benchDownload(b, 1<<20, 0) }
 func BenchmarkDownload1MBLossy(b *testing.B)   { benchDownload(b, 1<<20, 0.02) }
-func BenchmarkDownload1MBFluid(b *testing.B)   { benchDownload(b, 1<<20, 0, true) }

@@ -18,13 +18,11 @@ func applyBlackhole(a any) {
 	e.ifc.SetBlackhole(e.bh)
 }
 
-// TestFluidExitThroughBlackhole pins single-path robustness through a
-// silent fault: a steady flow that has entered fluid-advance mode is
-// blackholed mid-transfer. The fluid session must dissolve back to
-// packet mode (the link's state generation changed under it), the
+// TestBlackholeRecoveryByRTO pins single-path robustness through a
+// silent fault: a steady bulk flow is blackholed mid-transfer. The
 // sender must take RTOs while the path is dark, and the transfer must
 // complete after the path returns — no hang, no lost bytes.
-func TestFluidExitThroughBlackhole(t *testing.T) {
+func TestBlackholeRecoveryByRTO(t *testing.T) {
 	sim := simnet.New(11)
 	up := netem.NewFixedLink(sim, 10, netem.LinkConfig{PropDelay: 15 * time.Millisecond})
 	down := netem.NewFixedLink(sim, 10, netem.LinkConfig{PropDelay: 15 * time.Millisecond})
@@ -33,7 +31,6 @@ func TestFluidExitThroughBlackhole(t *testing.T) {
 	server := NewStack(sim, ServerSide)
 	client.Bind(iface)
 	server.Bind(iface)
-	EnableFluid(client, server)
 
 	const size = 4 << 20
 	var sender *Conn
@@ -65,13 +62,8 @@ func TestFluidExitThroughBlackhole(t *testing.T) {
 	if done < 2500*time.Millisecond {
 		t.Fatalf("completed at %v, inside the blackhole window", done)
 	}
-	us := up.Stats()
-	ds := down.Stats()
-	if us.Elided+ds.Elided == 0 {
-		t.Fatal("fluid mode never engaged — test is not exercising the fluid exit path")
-	}
-	// The sender's retransmissions and RTO firings prove recovery
-	// happened in packet mode after the fluid session dissolved.
+	// The sender's retransmissions and RTO firings prove the flow
+	// recovered by timeout rather than slipping past the fault.
 	if sender.Retransmits == 0 {
 		t.Fatal("no retransmissions through the blackhole")
 	}

@@ -184,18 +184,6 @@ type Conn struct {
 	peerFin    bool
 	peerFinAt  uint64
 
-	// Fluid-advance state (see fluid.go). fluidPeer is the opposite
-	// endpoint of the same flow when both stacks share a FluidDomain;
-	// fluid is the active session on the data sender; fluidClock, when
-	// >= 0, is the semantic time of the virtual event being replayed
-	// (c.now() returns it instead of the kernel clock); fluidSuppress
-	// disables RTO/probe arming while the session guarantees delivery.
-	fluidPeer     *Conn
-	fluidDom      *FluidDomain
-	fluid         *fluidSession
-	fluidClock    time.Duration
-	fluidSuppress bool
-
 	// Diagnostics.
 	established   time.Duration
 	synSentAt     time.Duration
@@ -243,7 +231,6 @@ func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow stri
 		peerWnd:  DefaultWindow,
 		rto:      InitialRTO,
 	}
-	c.fluidClock = -1
 	initial := cfg.InitialCwndSegs
 	if initial <= 0 {
 		initial = InitialCwndSegments
@@ -369,7 +356,6 @@ func (c *Conn) Send(n int) {
 		return
 	}
 	c.byteSrc.pending += n
-	c.maybeEnterFluid()
 	c.trySend()
 }
 
@@ -468,17 +454,6 @@ func (c *Conn) becomeEstablished() {
 	c.trySend()
 }
 
-// now returns the semantic clock: the kernel event clock, or — while a
-// fluid session replays a virtual event — that event's exact instant.
-// Sender-side timestamps (scoreboard sentAt, RTT samples) go through it
-// so the analytic path produces the same arithmetic packet mode would.
-func (c *Conn) now() time.Duration {
-	if c.fluidClock >= 0 {
-		return c.fluidClock
-	}
-	return c.sim.Now()
-}
-
 // pipe estimates bytes currently in flight per RFC 6675: SACKed bytes
 // have left the network; lost bytes count only if their retransmission
 // is outstanding.
@@ -512,16 +487,7 @@ func (c *Conn) trySend() {
 	if c.peerWnd < wnd {
 		wnd = c.peerWnd
 	}
-	var pipe int
-	if c.fluid != nil && c.hiSacked <= c.sndUna &&
-		c.lostPending == 0 && !c.inRecov {
-		// Clean scoreboard (the fluid session's standing invariant):
-		// every tracked byte is in flight, so the O(flight) scan
-		// collapses to window arithmetic.
-		pipe = int(c.sndNxt - c.sndUna)
-	} else {
-		pipe = c.pipe()
-	}
+	pipe := c.pipe()
 	for wnd-pipe >= MSS || (wnd-pipe > 0 && pipe == 0) {
 		// Retransmissions of lost segments take priority.
 		if e := c.nextLost(); e != nil {
@@ -540,22 +506,6 @@ func (c *Conn) trySend() {
 		max := MSS
 		if budget < max {
 			max = budget
-		}
-		// Fluid fast path: while a session is active every new segment is
-		// advanced analytically. A refusal means no data or no queue
-		// headroom — pause; a real segment must never interleave behind
-		// undelivered virtual ones, so packet-mode sending resumes only
-		// after the session exits (which re-runs this loop).
-		if c.fluid != nil {
-			n, ok := c.fluid.sendVirtual(c, max)
-			if !ok {
-				break
-			}
-			pipe += n
-			if !c.src.Pending() && c.cb.OnSendBufEmpty != nil {
-				c.cb.OnSendBufEmpty(c)
-			}
-			continue
 		}
 		n, opt, ok := c.src.Next(max)
 		if !ok {
@@ -578,9 +528,7 @@ func (c *Conn) trySend() {
 		}
 	}
 	c.maybeSendFin()
-	if len(c.rtxq) > 0 || (c.fluid != nil && c.sndNxt > c.sndUna) {
-		// Virtual segments live on the session's fifo, not in rtxq; the
-		// arms below are its suppressed analytic mirrors.
+	if len(c.rtxq) > 0 {
 		c.armRTOIfIdle()
 		c.armProbe()
 	}
@@ -604,13 +552,6 @@ func (c *Conn) nextLost() *rtxEntry {
 
 func (c *Conn) maybeSendFin() {
 	if !c.finQueued || c.finSent || c.src.Pending() {
-		return
-	}
-	if c.fluid != nil {
-		// The FIN would arrive behind undelivered virtual segments and be
-		// discarded as out-of-order. The session exits at the exact
-		// instant the final data ACK arrives and re-runs trySend, so the
-		// FIN still goes out at the time packet mode would have sent it.
 		return
 	}
 	if c.state != StateEstablished && c.state != StateCloseWait {
@@ -664,7 +605,7 @@ func (c *Conn) processAck(seg *Segment) {
 			}
 		}
 		c.probeFired = false
-		if len(c.rtxq) == 0 && (c.fluid == nil || c.sndNxt == c.sndUna) {
+		if len(c.rtxq) == 0 {
 			c.cancelRTO()
 			c.cancelProbe()
 		} else {
@@ -673,7 +614,6 @@ func (c *Conn) processAck(seg *Segment) {
 		}
 		c.checkClosed()
 		c.detectLoss()
-		c.maybeEnterFluid()
 		c.trySend()
 	case seg.Ack == c.sndUna && c.BytesInFlight() > 0 && seg.PayloadLen == 0 &&
 		!seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagFIN):
@@ -951,7 +891,7 @@ func (c *Conn) ackRtxQueue(ack uint64) {
 		c.rtxq = c.rtxq[:n]
 	}
 	if sampleAt >= 0 {
-		c.rttSample(c.now() - sampleAt)
+		c.rttSample(c.sim.Now() - sampleAt)
 	}
 }
 
@@ -1003,7 +943,7 @@ func (c *Conn) rttSample(r time.Duration) {
 // network at transmit time, so the copy must be taken first.
 func (c *Conn) track(seg *Segment) {
 	if seg.PayloadLen > 0 || seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagFIN) {
-		c.rtxq = append(c.rtxq, rtxEntry{seg: *seg, sentAt: c.now()})
+		c.rtxq = append(c.rtxq, rtxEntry{seg: *seg, sentAt: c.sim.Now()})
 	}
 }
 
@@ -1046,11 +986,6 @@ func connOnProbe(a any) { a.(*Conn).onProbe() }
 // immediately following schedule), so the per-ACK timer churn costs a
 // few pointer writes and no allocation.
 func (c *Conn) armRTO() {
-	if c.fluidSuppress {
-		// A fluid session guarantees delivery of everything in flight;
-		// the timer is re-armed at session exit if data remains.
-		return
-	}
 	c.cancelRTO()
 	c.rtoTimer = c.sim.AfterArg(c.rto, connOnRTO, c)
 }
@@ -1073,11 +1008,7 @@ func (c *Conn) armProbe() {
 	if c.probeFired || c.srtt == 0 {
 		return
 	}
-	if c.fluidSuppress {
-		if c.sndNxt == c.sndUna {
-			return // nothing outstanding, virtual or real
-		}
-	} else if len(c.rtxq) == 0 {
+	if len(c.rtxq) == 0 {
 		return
 	}
 	pto := 2 * c.srtt
@@ -1087,24 +1018,12 @@ func (c *Conn) armProbe() {
 	if pto > c.rto {
 		return // RTO fires first anyway (stale schedules stay armed)
 	}
-	if c.fluidSuppress {
-		// Mirror the re-arm into the session's analytic probe clock so a
-		// pending schedule fires at exactly the packet-mode instant (see
-		// fluidSession.injectProbe).
-		if s := c.fluid; s != nil {
-			s.vProbe = c.now() + pto
-		}
-		return
-	}
 	c.cancelProbe()
 	c.probeTimer = c.sim.AfterArg(pto, connOnProbe, c)
 }
 
 func (c *Conn) cancelProbe() {
 	c.probeTimer.Stop()
-	if s := c.fluid; s != nil {
-		s.vProbe = -1
-	}
 }
 
 func (c *Conn) onProbe() {
@@ -1137,9 +1056,6 @@ func (c *Conn) onProbe() {
 func (c *Conn) Abort() {
 	if c.state == StateDone {
 		return
-	}
-	if c.fluid != nil {
-		c.fluid.discard()
 	}
 	c.state = StateDone
 	c.cancelRTO()

@@ -21,7 +21,6 @@ type Stack struct {
 	sim   *simnet.Sim
 	side  Side
 	conns map[string]*Conn
-	fluid *FluidDomain
 	// Accept configures a passively-opened connection before its SYN is
 	// processed (install callbacks, queue response data, ...). If nil,
 	// incoming SYNs for unknown flows are dropped.
@@ -74,7 +73,6 @@ func (s *Stack) dispatch(iface *netem.Iface, p *netem.Packet) {
 		}
 		c = NewConn(s.sim, iface, s.sendDir(), seg.Flow, Config{})
 		s.conns[seg.Flow] = c
-		s.join(c)
 		s.Accept(c)
 	}
 	c.handle(seg)
@@ -89,7 +87,6 @@ func (s *Stack) Dial(iface *netem.Iface, flow string, cfg Config) *Conn {
 	}
 	c := NewConn(s.sim, iface, s.sendDir(), flow, cfg)
 	s.conns[flow] = c
-	s.join(c)
 	c.Connect()
 	return c
 }
@@ -101,15 +98,6 @@ func (s *Stack) Register(c *Conn) {
 		panic("tcp: duplicate flow " + c.flow)
 	}
 	s.conns[c.flow] = c
-	s.join(c)
-}
-
-// join pairs the connection with its opposite endpoint when the stack
-// belongs to a FluidDomain.
-func (s *Stack) join(c *Conn) {
-	if s.fluid != nil {
-		s.fluid.join(c)
-	}
 }
 
 // Conn returns the connection for a flow, or nil.
@@ -117,8 +105,5 @@ func (s *Stack) Conn(flow string) *Conn { return s.conns[flow] }
 
 // Forget removes a connection from the demux table.
 func (s *Stack) Forget(flow string) {
-	if c := s.conns[flow]; c != nil && s.fluid != nil {
-		s.fluid.forget(c)
-	}
 	delete(s.conns, flow)
 }
